@@ -10,6 +10,7 @@
 #include "core/cluster.hpp"
 #include "core/protocol.hpp"
 #include "net/transport.hpp"
+#include "sim/object_classes.hpp"
 
 namespace {
 
@@ -226,6 +227,47 @@ void BM_DecodeUpdateMsg(benchmark::State& state) {
   }
 }
 
+/// A crane.state message as the dynamics module publishes it: 23
+/// attributes, the set every display, dashboard and instructor reflects.
+core::AttributeSet sampleCraneState() {
+  sim::CraneStateMsg m;
+  m.state.carrierPosition = {12.0, 0.0, -4.5};
+  m.state.carrierHeadingRad = 0.3;
+  m.state.slewAngleRad = 1.1;
+  m.state.boomPitchRad = 0.7;
+  m.state.boomLengthM = 18.0;
+  m.state.cableLengthM = 6.5;
+  m.state.engineOn = true;
+  m.state.engineRpm = 1450.0;
+  m.boomTip = {20.0, 14.0, -2.0};
+  m.hookPosition = {20.0, 7.5, -2.0};
+  m.workingRadiusM = 11.2;
+  m.momentUtilisation = 0.42;
+  m.simTimeSec = 63.25;
+  return sim::encodeCraneState(m);
+}
+
+/// Reflect-side value layer alone: decode a crane.state payload into an
+/// AttributeSet and read its 23 attributes back out by name.
+void BM_AttributeSetDecodeCraneState(benchmark::State& state) {
+  const auto bytes = sampleCraneState().encode();
+  for (auto _ : state) {
+    auto set = core::AttributeSet::decode(bytes);
+    benchmark::DoNotOptimize(sim::decodeCraneState(*set));
+  }
+  state.counters["bytes"] = static_cast<double>(bytes.size());
+}
+
+/// One deep copy of a crane.state set: the per-reflection cost the
+/// reflect path avoids by moving reflections into `latest`.
+void BM_AttributeSetCopyCraneState(benchmark::State& state) {
+  const core::AttributeSet attrs = sampleCraneState();
+  for (auto _ : state) {
+    core::AttributeSet copy = attrs;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+
 }  // namespace
 
 BENCHMARK(BM_LocalFastPathUpdate);
@@ -240,3 +282,5 @@ BENCHMARK(BM_FanOutUpdate)->Arg(1)->Arg(2)->Arg(4)->Arg(7);
 BENCHMARK(BM_FanOutSendOnly)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 BENCHMARK(BM_EncodeUpdateMsg);
 BENCHMARK(BM_DecodeUpdateMsg);
+BENCHMARK(BM_AttributeSetDecodeCraneState);
+BENCHMARK(BM_AttributeSetCopyCraneState);

@@ -474,13 +474,16 @@ std::optional<Reflection> CommunicationBackbone::poll(SubscriptionHandle h) {
   if (sub == nullptr || sub->mailbox.empty()) return std::nullopt;
   Reflection r = std::move(sub->mailbox.front());
   sub->mailbox.pop_front();
+  if (sub->mailbox.empty()) sub->latest = r;
   return r;
 }
 
 const Reflection* CommunicationBackbone::latest(SubscriptionHandle h) const {
   const SubscriptionEntry* sub = findSubscription(h);
-  if (sub == nullptr || !sub->latest) return nullptr;
-  return &*sub->latest;
+  if (sub == nullptr) return nullptr;
+  if (!sub->mailbox.empty()) return &sub->mailbox.back();
+  if (sub->delivering != nullptr) return sub->delivering;
+  return sub->latest ? &*sub->latest : nullptr;
 }
 
 std::size_t CommunicationBackbone::pending(SubscriptionHandle h) const {
@@ -784,13 +787,20 @@ void CommunicationBackbone::deliverMailboxes() {
     SubscriptionEntry* sub = findSubscription(h);
     if (sub == nullptr) continue;
     while (!sub->mailbox.empty()) {
+      // The callback gets a local the subscription cannot free under it
+      // (it may unsubscribe); the newest one then moves into `latest`.
       Reflection r = std::move(sub->mailbox.front());
       sub->mailbox.pop_front();
+      if (sub->mailbox.empty()) sub->delivering = &r;
       const auto lpIt = lps_.find(sub->lp);
       if (lpIt != lps_.end())
         lpIt->second->reflectAttributeValues(r.className, r.attrs, r.timestamp);
       sub = findSubscription(h);
       if (sub == nullptr) break;
+      if (sub->delivering == &r) {
+        sub->delivering = nullptr;
+        if (sub->mailbox.empty()) sub->latest = std::move(r);
+      }
     }
   }
 }

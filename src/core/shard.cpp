@@ -162,8 +162,8 @@ CbShardLoad CbShard::load() const {
 }
 
 void CbShard::enqueueReflection(SubscriptionEntry& sub, Reflection r) {
-  sub.latest = r;
-  if (sub.mailbox.size() >= cb_.cfg_.mailboxLimit) {
+  // latest() reads mailbox.back(), so even a limit of 0 keeps one entry.
+  if (!sub.mailbox.empty() && sub.mailbox.size() >= cb_.cfg_.mailboxLimit) {
     sub.mailbox.pop_front();
     ++cb_.stats_.mailboxOverflows;
   }

@@ -192,8 +192,15 @@ struct SubscriptionEntry {
   net::QosClass qos = net::QosClass::kBestEffort;  // requested per channel
   bool everAcknowledged = false;
   double nextBroadcast = 0.0;
+  /// Pending reflections, oldest first. The mailbox owns each one until
+  /// poll() or push delivery takes it; latest() shows mailbox.back().
   std::deque<Reflection> mailbox;
+  /// The newest reflection once the mailbox has drained. Push delivery
+  /// moves it in; poll() copies the last one it hands out.
   std::optional<Reflection> latest;
+  /// Set while a push callback runs on the last pending reflection (held
+  /// by deliverMailboxes, not yet moved into `latest`); latest() shows it.
+  const Reflection* delivering = nullptr;
 };
 
 /// Live shard sizes, for tests and the soak harness's balance checks.

@@ -4,9 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -59,25 +60,28 @@ class AttributeValue {
 };
 
 /// An ordered name → value map: the payload of one attribute update.
+/// Stored as a vector sorted by name (no per-attribute heap node), so
+/// iteration, encode() and == see the same name order std::map gave.
 class AttributeSet {
  public:
+  using Entry = std::pair<std::string, AttributeValue>;
+
   AttributeSet() = default;
-  AttributeSet(std::initializer_list<std::pair<const std::string, AttributeValue>> init)
-      : attrs_(init) {}
+  /// The first of two entries with the same name wins, as with std::map.
+  AttributeSet(std::initializer_list<Entry> init);
 
-  void set(const std::string& name, AttributeValue v) {
-    attrs_[name] = std::move(v);
-  }
-  bool has(const std::string& name) const { return attrs_.contains(name); }
+  /// Insert or overwrite.
+  void set(std::string name, AttributeValue v);
+  bool has(std::string_view name) const { return find(name) != nullptr; }
   /// Null if absent.
-  const AttributeValue* find(const std::string& name) const;
+  const AttributeValue* find(std::string_view name) const;
 
-  bool getBool(const std::string& name, bool fallback = false) const;
-  std::int64_t getInt(const std::string& name, std::int64_t fallback = 0) const;
-  double getDouble(const std::string& name, double fallback = 0.0) const;
-  std::string getString(const std::string& name,
+  bool getBool(std::string_view name, bool fallback = false) const;
+  std::int64_t getInt(std::string_view name, std::int64_t fallback = 0) const;
+  double getDouble(std::string_view name, double fallback = 0.0) const;
+  std::string getString(std::string_view name,
                         const std::string& fallback = {}) const;
-  math::Vec3 getVec3(const std::string& name, math::Vec3 fallback = {}) const;
+  math::Vec3 getVec3(std::string_view name, math::Vec3 fallback = {}) const;
 
   std::size_t size() const { return attrs_.size(); }
   bool empty() const { return attrs_.empty(); }
@@ -90,12 +94,14 @@ class AttributeSet {
   /// straight into the reusable UPDATE frame. Bytes are identical to
   /// encode().
   void encodeInto(net::WireWriter& w) const;
+  /// Entries arrive in name order from encode(); out-of-order or
+  /// repeated names are still accepted, and the last repeat wins.
   static std::optional<AttributeSet> decode(std::span<const std::uint8_t> bytes);
 
   bool operator==(const AttributeSet&) const = default;
 
  private:
-  std::map<std::string, AttributeValue> attrs_;
+  std::vector<Entry> attrs_;  // sorted by name, names unique
 };
 
 }  // namespace cod::core

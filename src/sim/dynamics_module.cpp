@@ -48,6 +48,7 @@ void DynamicsModule::step(double now) {
   // Catch the integrator up to the cluster clock in fixed steps.
   while (simTime_ + cfg_.fixedDtSec <= now) {
     if (cb_ != nullptr) {
+      // Decoded at once: latest() is only valid until the next tick().
       if (const core::Reflection* r = cb_->latest(controlsSub_))
         controls_ = decodeControls(r->attrs);
     }

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace cod::core {
 namespace {
 
@@ -364,6 +366,145 @@ TEST_F(CbTest, MailboxOverflowDropsOldest) {
   ASSERT_TRUE(first.has_value());
   EXPECT_DOUBLE_EQ(first->attrs.getDouble("v"), 15.0);  // oldest kept
   EXPECT_GE(cbB.stats().mailboxOverflows, 15u);
+}
+
+// ---- latest(): newest pending reflection, else the last one taken ------
+
+/// Subscriber that, inside each reflect callback, reads latest() on its
+/// own subscription — and can unsubscribe itself after `unsubscribeAt`
+/// deliveries.
+class LatestReader : public Sub {
+ public:
+  using Sub::Sub;
+  void reflectAttributeValues(const std::string& className,
+                              const AttributeSet& attrs,
+                              double timestamp) override {
+    Sub::reflectAttributeValues(className, attrs, timestamp);
+    const Reflection* r = backbone()->latest(handle);
+    latestSeen.push_back(r != nullptr ? r->attrs.getDouble("v") : -1.0);
+    if (values.size() == unsubscribeAt) backbone()->unsubscribe(handle);
+  }
+  std::vector<double> latestSeen;
+  std::size_t unsubscribeAt = 0;  // 0: never
+};
+
+TEST_F(CbTest, LatestInsidePushCallbackAndAfterTick) {
+  auto& cb = cluster.addComputer("a");
+  Pub pub("same");
+  pub.bind(cb);
+  LatestReader sub("same");
+  sub.bind(cb);
+  EXPECT_EQ(cb.latest(sub.handle), nullptr);
+  // Same-CB subscribers are fed at publish time and pushed on the tick.
+  pub.send(1.0, 0.0);
+  pub.send(2.0, 0.0);
+  pub.send(3.0, 0.0);
+  ASSERT_EQ(cb.pending(sub.handle), 3u);
+  ASSERT_NE(cb.latest(sub.handle), nullptr);
+  EXPECT_DOUBLE_EQ(cb.latest(sub.handle)->attrs.getDouble("v"), 3.0);
+  cluster.step(0.01);
+  EXPECT_EQ(sub.values, (std::vector<double>{1.0, 2.0, 3.0}));
+  // Every callback, the last one included, sees the newest reflection.
+  EXPECT_EQ(sub.latestSeen, (std::vector<double>{3.0, 3.0, 3.0}));
+  EXPECT_EQ(cb.pending(sub.handle), 0u);
+  ASSERT_NE(cb.latest(sub.handle), nullptr);
+  EXPECT_DOUBLE_EQ(cb.latest(sub.handle)->attrs.getDouble("v"), 3.0);
+  // Quiet ticks keep it.
+  cluster.step(0.5);
+  ASSERT_NE(cb.latest(sub.handle), nullptr);
+  EXPECT_DOUBLE_EQ(cb.latest(sub.handle)->attrs.getDouble("v"), 3.0);
+  pub.send(4.0, 0.0);
+  cluster.step(0.01);
+  EXPECT_DOUBLE_EQ(sub.latestSeen.back(), 4.0);
+  EXPECT_DOUBLE_EQ(cb.latest(sub.handle)->attrs.getDouble("v"), 4.0);
+}
+
+TEST_F(CbTest, LatestBeforeAndAfterPollDrainsMailbox) {
+  CodCluster::Config cfg;
+  cfg.cb.pushDelivery = false;
+  CodCluster c2(cfg);
+  auto& cbA = c2.addComputer("a");
+  auto& cbB = c2.addComputer("b");
+  Pub pub("pull");
+  pub.bind(cbA);
+  Sub sub("pull");
+  sub.bind(cbB);
+  ASSERT_TRUE(c2.runUntil([&] { return cbB.connected(sub.handle); }, 2.0));
+  EXPECT_EQ(cbB.latest(sub.handle), nullptr);
+  pub.send(1.0, 0.0);
+  pub.send(2.0, 0.1);
+  c2.step(0.1);
+  ASSERT_EQ(cbB.pending(sub.handle), 2u);
+  EXPECT_EQ(cbB.latest(sub.handle)->seq, 2u);
+  const auto first = cbB.poll(sub.handle);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->seq, 1u);
+  EXPECT_EQ(cbB.latest(sub.handle)->seq, 2u);
+  const auto second = cbB.poll(sub.handle);
+  ASSERT_TRUE(second.has_value());
+  EXPECT_DOUBLE_EQ(second->attrs.getDouble("v"), 2.0);
+  EXPECT_FALSE(cbB.poll(sub.handle).has_value());
+  // The mailbox is empty; latest() still holds what poll() handed out.
+  ASSERT_NE(cbB.latest(sub.handle), nullptr);
+  EXPECT_EQ(cbB.latest(sub.handle)->seq, 2u);
+  EXPECT_EQ(cbB.latest(sub.handle)->attrs, second->attrs);
+  c2.step(0.5);
+  ASSERT_NE(cbB.latest(sub.handle), nullptr);
+  EXPECT_DOUBLE_EQ(cbB.latest(sub.handle)->attrs.getDouble("v"), 2.0);
+  EXPECT_TRUE(sub.values.empty());
+}
+
+TEST_F(CbTest, LatestSurvivesMailboxOverflow) {
+  for (const std::size_t limit : {std::size_t{5}, std::size_t{1}, std::size_t{0}}) {
+    CodCluster::Config cfg;
+    cfg.cb.pushDelivery = false;
+    cfg.cb.mailboxLimit = limit;
+    CodCluster c2(cfg);
+    auto& cb = c2.addComputer("a");
+    Pub pub("flood");
+    pub.bind(cb);
+    Sub sub("flood");
+    sub.bind(cb);
+    for (int i = 0; i < 20; ++i) pub.send(i, 0.0);
+    EXPECT_EQ(cb.pending(sub.handle), std::max<std::size_t>(limit, 1))
+        << "limit " << limit;
+    ASSERT_NE(cb.latest(sub.handle), nullptr);
+    EXPECT_DOUBLE_EQ(cb.latest(sub.handle)->attrs.getDouble("v"), 19.0);
+    while (cb.poll(sub.handle)) {
+    }
+    ASSERT_NE(cb.latest(sub.handle), nullptr);
+    EXPECT_DOUBLE_EQ(cb.latest(sub.handle)->attrs.getDouble("v"), 19.0);
+    EXPECT_EQ(cb.stats().mailboxOverflows, 20 - std::max<std::size_t>(limit, 1));
+  }
+}
+
+TEST_F(CbTest, CallbackUnsubscribingMidDeliveryStopsCleanly) {
+  auto& cb = cluster.addComputer("a");
+  Pub pub("bye");
+  pub.bind(cb);
+  LatestReader quitter("bye");
+  quitter.bind(cb);
+  quitter.unsubscribeAt = 2;
+  LatestReader stayer("bye");
+  stayer.bind(cb);
+  for (int i = 1; i <= 3; ++i) pub.send(i, 0.0);
+  cluster.step(0.01);
+  EXPECT_EQ(quitter.values, (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(quitter.latestSeen, (std::vector<double>{3.0, 3.0}));
+  EXPECT_EQ(cb.latest(quitter.handle), nullptr);
+  EXPECT_EQ(cb.pending(quitter.handle), 0u);
+  EXPECT_EQ(stayer.values, (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(stayer.latestSeen, (std::vector<double>{3.0, 3.0, 3.0}));
+  // Unsubscribing on the last pending reflection, while it is the one
+  // latest() shows, is just as clean.
+  LatestReader lastOne("bye");
+  lastOne.bind(cb);
+  lastOne.unsubscribeAt = 1;
+  pub.send(4.0, 0.0);
+  cluster.step(0.01);
+  EXPECT_EQ(lastOne.latestSeen, (std::vector<double>{4.0}));
+  EXPECT_EQ(cb.latest(lastOne.handle), nullptr);
+  EXPECT_DOUBLE_EQ(cb.latest(stayer.handle)->attrs.getDouble("v"), 4.0);
 }
 
 TEST_F(CbTest, AttachIsIdempotentAndExclusive) {
