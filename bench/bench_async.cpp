@@ -121,11 +121,8 @@ struct HistMerge {
   telemetry::HistogramSnapshot sum;
   void add(const telemetry::HistogramSnapshot& cur,
            const telemetry::HistogramSnapshot& base) {
-    const auto d = telemetry::LogHistogram::diff(cur, base);
-    sum.count += d.count;
-    sum.sum += d.sum;
-    for (std::size_t i = 0; i < telemetry::kHistBuckets; ++i)
-      sum.buckets[i] += d.buckets[i];
+    telemetry::LogHistogram::merge(sum,
+                                   telemetry::LogHistogram::diff(cur, base));
   }
   double p99Us(double lowest) const {
     return telemetry::LogHistogram::percentile(sum, 0.99, lowest) * 1e6;
